@@ -4,7 +4,7 @@
 //! hostile schedule".
 //!
 //! Every canary ships with a two-sided contract, enforced by this
-//! module's tests and re-checked by `repro --check --quick`:
+//! module's tests and re-checked by `repro check --quick`:
 //!
 //! 1. **Unhardened QBAC fails it.** Running the plain `quorum`
 //!    adapter under the canary's schedule violates a claimed invariant

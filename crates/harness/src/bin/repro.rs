@@ -19,18 +19,16 @@
 //! repro sweep --quick --mobility manhattan:100 --mobility group:4,50
 //! repro sweep --soak --rounds 5              # chaos soak vs the oracle
 //! repro scale --out BENCH_scale.json         # city-scale sharded join storm
-//! repro scale --quick --n 10000 --engine parallel:4  # CI smoke cell
+//! repro scale --quick --n 10000             # CI smoke cell
 //! repro gate BENCH_sweep.json sweep.json     # regression gate vs baseline
 //! repro gate BENCH_scale.json scale.json --subset    # smoke vs committed baseline
 //! repro fuzz --time-budget 60s --seed 42     # coverage-guided schedule fuzz
-//! repro --backend mesh                       # storm + attack canary over real UDP,
+//! repro mesh                                 # storm + attack canary over real UDP,
 //!                                            # transcripts diffed against the simulator
-//! repro --backend mesh --quick               # the 2x2 CI equivalence smoke
+//! repro mesh --quick                         # the 2x2 CI equivalence smoke
 //! ```
 //!
-//! `repro` with no subcommand runs `figures`. The pre-subcommand flat
-//! spellings (`--chaos`, `--check`, `--check --replay FILE`) keep
-//! working as hidden aliases.
+//! `repro` with no subcommand runs `figures`.
 //!
 //! With `REPRO_NO_WALL_CLOCK=1` the snapshot's per-phase `wall_us`
 //! fields render as 0, making same-seed snapshots byte-identical.
@@ -38,14 +36,12 @@
 use harness::chaos::{chaos_suite, ChaosOpts};
 use harness::figures::{self, FigOpts};
 use harness::snapshot::{self, Phase, Snapshot, SnapshotParams};
-use manet_sim::{EngineConfig, FaultPlan, MobilityConfig};
+use manet_sim::{FaultPlan, MobilityConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Which of the four subcommands runs. `repro` with no subcommand is
-/// `Figures`; the legacy flat flags (`--chaos`, `--check`,
-/// `--check --replay FILE`) resolve to the same modes.
+/// Which subcommand runs. `repro` with no subcommand is `Figures`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Figures,
@@ -60,52 +56,19 @@ enum Mode {
     Scale,
 }
 
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Figures => "figures",
-            Mode::Chaos => "chaos",
-            Mode::Check => "check",
-            Mode::Replay => "replay",
-            Mode::Attacks => "attacks",
-            Mode::Sweep => "sweep",
-            Mode::Gate => "gate",
-            Mode::Fuzz => "fuzz",
-            Mode::Mesh => "mesh",
-            Mode::Scale => "scale",
-        }
-    }
-}
-
-/// Which transport carries deliveries. `Sim` is the in-process
-/// simulator (the default everywhere); `Mesh` reruns the equivalence
-/// suite over real UDP sockets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Backend {
-    #[default]
-    Sim,
-    Mesh,
-}
-
 /// Options every subcommand shares: replication parameters, the
-/// snapshot/trace outputs, and the promoted cross-cutting selectors.
-/// `backend`, `mobilities`, and `engine` are validated at parse time
-/// (unknown names and malformed specs error before any work starts);
-/// which modes *honor* each selector is enforced by the conflict
-/// checks at the end of [`parse_args`].
+/// snapshot/trace outputs, and the sweep's mobility axis. `mobilities`
+/// is validated at parse time (malformed specs error before any work
+/// starts); which modes *honor* it is enforced by the conflict checks
+/// at the end of [`parse_args`].
 #[derive(Debug, Default)]
 struct CommonOpts {
     opts: FigOpts,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    /// `--backend sim|mesh` (`repro mesh` is the subcommand alias).
-    backend: Backend,
     /// `--mobility SPEC`, repeatable; each spec pre-validated against
     /// the [`MobilityConfig::parse`] grammar.
     mobilities: Option<Vec<String>>,
-    /// `--engine full|incremental|parallel[:N]`, pre-validated against
-    /// [`EngineConfig::parse`]. `None` means the mode's default.
-    engine: Option<EngineConfig>,
 }
 
 /// Options for the `sweep` and `gate` subcommands.
@@ -155,21 +118,17 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut fig = None;
     let mut opts = FigOpts::default();
     let mut csv_dir = None;
-    let mut chaos = false;
     let mut loss = None;
     let mut head_kills = None;
     let mut fault_plan = None;
     let mut metrics_out = None;
     let mut trace_out = None;
-    let mut check = false;
     let mut replay = None;
     let mut artifact_dir = None;
     let mut sweep = SweepOpts::default();
     let mut fuzz = FuzzOpts::default();
     let mut scale = ScaleOpts::default();
-    let mut backend: Option<Backend> = None;
     let mut mobilities: Option<Vec<String>> = None;
-    let mut engine: Option<EngineConfig> = None;
     let mut it = argv;
     let mut first = true;
     while let Some(arg) = it.next() {
@@ -216,28 +175,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 opts.seed = v.parse::<u64>().map_err(|e| format!("--seed: {e}"))?;
             }
             "--quick" => opts.quick = true,
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a name (sim or mesh)")?;
-                match v.as_str() {
-                    "sim" => backend = Some(Backend::Sim),
-                    "mesh" => backend = Some(Backend::Mesh),
-                    other => {
-                        return Err(format!("--backend: unknown backend {other:?} (sim, mesh)"))
-                    }
-                }
-            }
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine needs a spec (full, incremental, parallel[:N])")?;
-                engine = Some(EngineConfig::parse(&v).map_err(|e| format!("--engine: {e}"))?);
-            }
-            "--chaos" => chaos = true,
-            "--check" => check = true,
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs an artifact file path")?;
-                replay = Some(PathBuf::from(v));
-            }
             "--artifact-dir" => {
                 let v = it.next().ok_or("--artifact-dir needs a directory")?;
                 artifact_dir = Some(PathBuf::from(v));
@@ -338,12 +275,12 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                      \x20      repro sweep [--quick] [--threads N] [--out FILE] [--seed S] [--with-chaos]\n\
                      \x20                  [--mobility SPEC]...\n\
                      \x20      repro sweep --soak [--rounds R] [--quick] [--threads N]\n\
-                     \x20      repro scale [--quick] [--n N]... [--engine full|incremental|parallel[:N]]\n\
-                     \x20                  [--threads N] [--seed S] [--out BENCH_scale.json]\n\
+                     \x20      repro scale [--quick] [--n N]... [--threads N] [--seed S]\n\
+                     \x20                  [--out BENCH_scale.json]\n\
                      \x20      repro gate BASELINE CANDIDATE [--tolerance F] [--subset]\n\
                      \x20      repro fuzz [--time-budget 60s] [--seed S] [--protocol P] [--quick]\n\
                      \x20                 [--artifact-dir DIR] [--out FILE]\n\
-                     \x20      repro --backend mesh [--quick] [--seed S]\n\
+                     \x20      repro mesh [--quick] [--seed S]\n\
                      Regenerates the evaluation figures (4-14, extras 15-18) of the quorum-based\n\
                      IP autoconfiguration paper. Default subcommand: figures, {} rounds.\n\
                      chaos runs the fault-injection suite: message-loss sweep plus scheduled\n\
@@ -368,9 +305,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                      flash-crowd:RADIUS,UNTIL; repeat the flag for several models).\n\
                      scale decomposes a city-scale join storm into spatially disjoint\n\
                      shard simulations fanned across worker threads (merged in a fixed\n\
-                     order, so the artifact is byte-identical for any --threads or\n\
-                     --engine choice) and microbenchmarks the full, incremental, and\n\
-                     parallel topology engines against each other at every size.\n\
+                     order, so the artifact is byte-identical for any --threads choice).\n\
                      gate compares two sweep artifacts and exits nonzero when a\n\
                      latency/overhead/configured metric regresses past the tolerance\n\
                      (default 10%); --subset compares only the cells both artifacts\n\
@@ -379,7 +314,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                      oracle for a deterministic simulated-time budget; violations are\n\
                      shrunk to replayable artifacts (--artifact-dir) and the campaign\n\
                      report (--out) is byte-identical for the same protocol/seed/budget.\n\
-                     --backend mesh reruns the storm schedule and the squat attack canary\n\
+                     mesh reruns the storm schedule and the squat attack canary\n\
                      with every delivery carried over real UDP sockets (hop-by-hop along\n\
                      the link map) and diffs the sans-io protocol transcripts against the\n\
                      simulator backend; any divergence prints a minimized report and\n\
@@ -391,53 +326,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    // Resolve the mode. The flat flags request modes too; an explicit
-    // subcommand must agree with them.
-    let legacy = match (chaos, check) {
-        (true, true) => return Err("--check and --chaos are separate modes; pick one".into()),
-        (true, false) => Some(Mode::Chaos),
-        (false, true) => Some(Mode::Check),
-        (false, false) => None,
-    };
-    let mut mode = match (subcommand, legacy) {
-        (Some(m), None) | (None, Some(m)) => m,
-        (None, None) => Mode::Figures,
-        (Some(m), Some(l)) if m == l => m,
-        (Some(m), Some(l)) => {
-            return Err(format!(
-                "{} and {} are separate modes; pick one",
-                m.name(),
-                l.name()
-            ))
-        }
-    };
-    // `--backend mesh` selects the UDP-mesh equivalence run; it is
-    // its own mode (a bare `repro --backend mesh` runs it), and the
-    // only subcommand it combines with is its alias `mesh`.
-    match backend {
-        Some(Backend::Mesh) => {
-            if !matches!(mode, Mode::Figures | Mode::Mesh) || chaos || check {
-                return Err(format!(
-                    "--backend mesh runs the transcript-equivalence suite; \
-                     it does not combine with the {} mode",
-                    mode.name()
-                ));
-            }
-            mode = Mode::Mesh;
-        }
-        // The simulator is the default backend everywhere else.
-        Some(Backend::Sim) if mode == Mode::Mesh => {
-            return Err("mesh with --backend sim is contradictory".into());
-        }
-        _ => {}
-    }
-    // Normalize: the `mesh` subcommand implies the mesh backend, so
-    // `args.common.backend` is the single source of truth downstream.
-    if mode == Mode::Mesh {
-        backend = Some(Backend::Mesh);
-    }
+    let mode = subcommand.unwrap_or(Mode::Figures);
     if mode != Mode::Chaos && (loss.is_some() || fault_plan.is_some() || head_kills.is_some()) {
-        return Err("--loss / --head-kills / --fault-plan only apply to --chaos runs".into());
+        return Err("--loss / --head-kills / --fault-plan only apply to chaos runs".into());
     }
     if mode != Mode::Sweep && (sweep.soak || sweep.chaos_axis) {
         return Err("--soak / --with-chaos only apply to sweep runs".into());
@@ -447,9 +338,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if mode != Mode::Sweep && mobilities.is_some() {
         return Err("--mobility only applies to sweep runs".into());
-    }
-    if !matches!(mode, Mode::Sweep | Mode::Scale) && engine.is_some() {
-        return Err("--engine only applies to sweep and scale runs".into());
     }
     if mode != Mode::Scale && scale.sizes.is_some() {
         return Err("--n only applies to scale runs".into());
@@ -466,17 +354,8 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if mode == Mode::Gate && sweep.gate_files.len() != 2 {
         return Err("gate needs exactly two files: gate BASELINE CANDIDATE".into());
     }
-    if !matches!(mode, Mode::Check | Mode::Replay) && replay.is_some() {
-        return Err("--replay only applies to --check runs".into());
-    }
     if !matches!(mode, Mode::Check | Mode::Replay | Mode::Fuzz) && artifact_dir.is_some() {
-        return Err("--artifact-dir only applies to --check and fuzz runs".into());
-    }
-    if mode == Mode::Check && replay.is_some() {
-        mode = Mode::Replay;
-    }
-    if mode == Mode::Replay && replay.is_none() {
-        return Err("replay needs an artifact file path".into());
+        return Err("--artifact-dir only applies to check, replay and fuzz runs".into());
     }
     Ok(Args {
         mode,
@@ -484,9 +363,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             opts,
             metrics_out,
             trace_out,
-            backend: backend.unwrap_or_default(),
             mobilities,
-            engine,
         },
         fig,
         csv_dir,
@@ -535,9 +412,6 @@ fn run_sweep_mode(args: &Args) -> ExitCode {
     if let Some(mobilities) = &args.common.mobilities {
         grid.mobilities = mobilities.clone();
     }
-    if let Some(engine) = args.common.engine {
-        grid.engine = engine;
-    }
     let report = match harness::run_sweep(&grid, threads) {
         Ok(r) => r,
         Err(e) => {
@@ -574,11 +448,10 @@ fn run_sweep_mode(args: &Args) -> ExitCode {
     }
 }
 
-/// Runs `repro scale`: the sharded city-scale join-storm plus the
-/// topology-engine microbenchmark, writing `BENCH_scale.json` when
-/// `--out` is given. Honors the promoted `--engine`, `--threads`,
-/// `--seed`, and `--quick` selectors; `--n` (repeatable) overrides the
-/// size axis.
+/// Runs `repro scale`: the sharded city-scale join storm, writing
+/// `BENCH_scale.json` when `--out` is given. Honors `--threads`,
+/// `--seed`, and `--quick`; `--n` (repeatable) overrides the size
+/// axis.
 fn run_scale_mode(args: &Args) -> ExitCode {
     let cfg = harness::ScaleConfig {
         sizes: args.scale.sizes.clone().unwrap_or_else(|| {
@@ -590,7 +463,6 @@ fn run_scale_mode(args: &Args) -> ExitCode {
         }),
         base_seed: args.common.opts.seed,
         threads: args.sweep.threads.unwrap_or(0),
-        engine: args.common.engine.unwrap_or_default(),
         quick: args.common.opts.quick,
         ..harness::ScaleConfig::default()
     };
@@ -608,12 +480,6 @@ fn run_scale_mode(args: &Args) -> ExitCode {
             c.wall_us / 1_000_000,
         );
     }
-    for r in &report.topo {
-        eprintln!(
-            "topo  n={} links={} agree={} full={:.0}us incremental={:.0}us parallel={:.0}us",
-            r.n, r.links, r.agree, r.full_us, r.incremental_us, r.parallel_us
-        );
-    }
     eprintln!("scale: fingerprint fnv1a:{:016x}", report.fingerprint());
     if let Some(path) = &args.sweep.out {
         let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
@@ -627,11 +493,7 @@ fn run_scale_mode(args: &Args) -> ExitCode {
         }
         eprintln!("wrote {}", path.display());
     }
-    let engines_agree = report.topo.iter().all(|r| r.agree);
-    if !engines_agree {
-        eprintln!("scale: topology engines disagreed (see topo rows above)");
-    }
-    if report.failed.is_empty() && engines_agree {
+    if report.failed.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -702,7 +564,7 @@ fn run_fuzz_mode(args: &Args) -> ExitCode {
     }
 }
 
-/// Runs `repro --backend mesh` (alias: `repro mesh`): the canned
+/// Runs `repro mesh`: the canned
 /// schedules end-to-end on both transports, demanding byte-identical
 /// transcripts. Exits nonzero on any divergence, printing the minimized
 /// first-difference report.
@@ -760,8 +622,9 @@ fn run_gate_mode(args: &Args) -> ExitCode {
     }
 }
 
-/// Runs `repro --check`: the replay of one artifact, or the full
-/// protocol × schedule suite with shrunk artifacts written on failure.
+/// Runs `repro replay FILE` (the replay of one artifact) or `repro
+/// check` (the full protocol × schedule suite, with shrunk artifacts
+/// written on failure).
 fn run_check_mode(args: &Args) -> ExitCode {
     if let Some(path) = &args.replay {
         let text = match std::fs::read_to_string(path) {
@@ -855,7 +718,7 @@ fn main() -> ExitCode {
     if args.mode == Mode::Scale {
         return run_scale_mode(&args);
     }
-    if args.common.backend == Backend::Mesh {
+    if args.mode == Mode::Mesh {
         return run_mesh_mode(&args);
     }
     if args.mode == Mode::Attacks {
@@ -890,7 +753,19 @@ fn main() -> ExitCode {
             head_kills: args.head_kills.unwrap_or(2),
             extra_plan: args.fault_plan.clone(),
         };
-        timed("chaos".into(), &mut || chaos_suite(&opts))
+        let t0 = Instant::now();
+        let tables = match chaos_suite(&opts) {
+            Ok(tables) => tables,
+            Err(e) => {
+                eprintln!("error: --fault-plan: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        phases.push(Phase {
+            name: "chaos".into(),
+            wall_us: t0.elapsed().as_micros() as u64,
+        });
+        tables
     } else {
         match args.fig {
             Some(n) => match figures::by_number(n, &args.common.opts) {
@@ -1013,12 +888,12 @@ mod tests {
         for flags in ["--loss 0.1", "--head-kills 3"] {
             let err = parse_args(argv(flags)).unwrap_err();
             assert!(
-                err.contains("only apply to --chaos"),
+                err.contains("only apply to chaos"),
                 "{flags}: unexpected error {err}"
             );
         }
-        // With --chaos they parse.
-        let a = parse_args(argv("--chaos --loss 0.1 --head-kills 3")).unwrap();
+        // Under chaos they parse.
+        let a = parse_args(argv("chaos --loss 0.1 --head-kills 3")).unwrap();
         assert_eq!(a.mode, Mode::Chaos);
         assert_eq!(a.loss, Some(0.1));
         assert_eq!(a.head_kills, Some(3));
@@ -1026,7 +901,7 @@ mod tests {
 
     #[test]
     fn head_kills_defaults_without_explicit_flag() {
-        let a = parse_args(argv("--chaos")).unwrap();
+        let a = parse_args(argv("chaos")).unwrap();
         assert_eq!(a.head_kills, None, "default applied later, at use site");
     }
 
@@ -1038,6 +913,7 @@ mod tests {
         assert_eq!(parse_args(argv("chaos")).unwrap().mode, Mode::Chaos);
         assert_eq!(parse_args(argv("check --quick")).unwrap().mode, Mode::Check);
         assert_eq!(parse_args(argv("attacks")).unwrap().mode, Mode::Attacks);
+        assert_eq!(parse_args(argv("mesh --quick")).unwrap().mode, Mode::Mesh);
 
         let a = parse_args(argv("replay out/quorum-storm.repro")).unwrap();
         assert_eq!(a.mode, Mode::Replay);
@@ -1067,13 +943,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flags_conflict_with_other_subcommands() {
-        let err = parse_args(argv("check --chaos")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        let err = parse_args(argv("figures --check")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        // The matching legacy flag is a harmless alias.
-        assert_eq!(parse_args(argv("chaos --chaos")).unwrap().mode, Mode::Chaos);
+    fn retired_flat_flags_are_unknown_arguments() {
+        // The flat mode flags the subcommands replaced, and the removed
+        // transport and topology selectors: each is rejected on its own
+        // and after a subcommand.
+        for (name, value) in [
+            ("chaos", ""),
+            ("check", ""),
+            ("replay", " out/quorum-storm.repro"),
+            ("backend", " mesh"),
+            ("engine", " parallel:4"),
+        ] {
+            let flag = format!("--{name}");
+            for line in [format!("{flag}{value}"), format!("chaos {flag}{value}")] {
+                let err = parse_args(argv(&line)).unwrap_err();
+                assert_eq!(err, format!("unknown argument: {flag}"), "{line}");
+            }
+        }
     }
 
     #[test]
@@ -1130,30 +1016,18 @@ mod tests {
     fn unknown_and_malformed_arguments_error() {
         assert!(parse_args(argv("--bogus")).is_err());
         assert!(parse_args(argv("--rounds 0")).is_err());
-        assert!(parse_args(argv("--chaos --loss 1.5")).is_err());
+        assert!(parse_args(argv("chaos --loss 1.5")).is_err());
         assert!(parse_args(argv("--metrics-out")).is_err());
     }
 
     #[test]
     fn check_flags_parse_and_are_gated() {
-        let a = parse_args(argv("--check --quick --artifact-dir out")).unwrap();
+        let a = parse_args(argv("check --quick --artifact-dir out")).unwrap();
         assert!(a.mode == Mode::Check && a.common.opts.quick);
         assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
 
-        let a = parse_args(argv("--check --replay out/quorum-storm.repro")).unwrap();
-        assert_eq!(a.mode, Mode::Replay, "--check --replay is the replay mode");
-        assert_eq!(
-            a.replay.as_deref().unwrap().to_str(),
-            Some("out/quorum-storm.repro")
-        );
-
-        let err = parse_args(argv("--replay x.repro")).unwrap_err();
-        assert!(err.contains("only applies to --check"), "{err}");
         let err = parse_args(argv("--artifact-dir out")).unwrap_err();
-        assert!(err.contains("--check and fuzz"), "{err}");
-        let err = parse_args(argv("--check --chaos")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        assert!(parse_args(argv("--check --replay")).is_err());
+        assert!(err.contains("check, replay and fuzz"), "{err}");
     }
 
     #[test]
@@ -1202,7 +1076,7 @@ mod tests {
     #[test]
     fn scale_subcommand_parses_and_gates_its_flags() {
         let a = parse_args(argv(
-            "scale --quick --n 1000 --n 10000 --engine parallel:4 --threads 8 --seed 7 --out BENCH_scale.json",
+            "scale --quick --n 1000 --n 10000 --threads 8 --seed 7 --out BENCH_scale.json",
         ))
         .unwrap();
         assert_eq!(a.mode, Mode::Scale);
@@ -1214,70 +1088,15 @@ mod tests {
             a.sweep.out.as_deref().unwrap().to_str(),
             Some("BENCH_scale.json")
         );
-        let engine = a.common.engine.expect("--engine parsed");
-        assert_eq!(engine.engine_kind(), manet_sim::TopologyEngine::Parallel);
-        assert_eq!(engine.thread_count(), 4);
 
-        // Defaults: sizes and engine resolved at the run site.
+        // Defaults: sizes resolved at the run site.
         let a = parse_args(argv("scale")).unwrap();
-        assert!(a.scale.sizes.is_none() && a.common.engine.is_none());
+        assert!(a.scale.sizes.is_none());
 
         // Scale flags stay rejected outside scale runs.
         assert!(parse_args(argv("figures --n 1000")).is_err());
         assert!(parse_args(argv("chaos --n 1000")).is_err());
         assert!(parse_args(argv("scale --n 0")).is_err());
-    }
-
-    #[test]
-    fn engine_selector_is_validated_and_mode_gated() {
-        for (spec, kind, threads) in [
-            ("full", manet_sim::TopologyEngine::Full, 1),
-            ("incremental", manet_sim::TopologyEngine::Incremental, 1),
-            ("parallel", manet_sim::TopologyEngine::Parallel, 1),
-            ("parallel:6", manet_sim::TopologyEngine::Parallel, 6),
-        ] {
-            let a = parse_args(argv(&format!("scale --engine {spec}"))).unwrap();
-            let e = a.common.engine.expect(spec);
-            assert_eq!(e.engine_kind(), kind, "{spec}");
-            assert_eq!(e.thread_count(), threads, "{spec}");
-        }
-        // Sweep honors the selector too.
-        let a = parse_args(argv("sweep --quick --engine incremental")).unwrap();
-        assert_eq!(
-            a.common.engine.unwrap().engine_kind(),
-            manet_sim::TopologyEngine::Incremental
-        );
-        // Malformed specs and unsupported modes error up front.
-        let err = parse_args(argv("scale --engine warp")).unwrap_err();
-        assert!(err.contains("--engine"), "{err}");
-        assert!(parse_args(argv("scale --engine parallel:0")).is_err());
-        let err = parse_args(argv("figures --engine full")).unwrap_err();
-        assert!(err.contains("sweep and scale"), "{err}");
-        assert!(parse_args(argv("chaos --engine full")).is_err());
-    }
-
-    #[test]
-    fn backend_flag_and_mesh_subcommand_are_aliases() {
-        // Both spellings resolve to the mesh mode with the mesh backend.
-        let flat = parse_args(argv("--backend mesh --quick")).unwrap();
-        assert_eq!(flat.mode, Mode::Mesh);
-        assert_eq!(flat.common.backend, super::Backend::Mesh);
-        let sub = parse_args(argv("mesh --quick")).unwrap();
-        assert_eq!(sub.mode, Mode::Mesh);
-        assert_eq!(sub.common.backend, super::Backend::Mesh);
-
-        // The explicit simulator backend is the default everywhere.
-        let a = parse_args(argv("figures --backend sim")).unwrap();
-        assert_eq!(a.common.backend, super::Backend::Sim);
-        assert_eq!(
-            parse_args(argv("")).unwrap().common.backend,
-            super::Backend::Sim
-        );
-
-        // Validation and contradictions error up front.
-        assert!(parse_args(argv("--backend bogus")).is_err());
-        assert!(parse_args(argv("mesh --backend sim")).is_err());
-        assert!(parse_args(argv("sweep --backend mesh")).is_err());
     }
 
     #[test]

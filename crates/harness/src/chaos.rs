@@ -16,7 +16,7 @@
 //!   latency grows versus a fault-free run of the same workload.
 
 use crate::figures::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
+use crate::scenario::{parallel_rounds, run_scenario, Scenario, ScenarioError};
 use crate::stats::mean;
 use crate::Table;
 use addrspace::Addr;
@@ -156,10 +156,15 @@ fn count_duplicates<M: Clone + std::fmt::Debug>(
 /// The chaos workload: sequential arrivals, settle, a storm of head
 /// kills, fresh arrivals that must configure through the carnage, then
 /// a cooldown for reclamation to catch up.
-fn chaos_scenario(opts: &ChaosOpts, loss: f64, seed: u64) -> Scenario {
+///
+/// # Errors
+///
+/// Rejects an [`extra_plan`](ChaosOpts::extra_plan) that crashes or
+/// arms a node the scenario never spawns.
+fn chaos_scenario(opts: &ChaosOpts, loss: f64, seed: u64) -> Result<Scenario, ScenarioError> {
     let quick = opts.fig.quick;
     let nn = if quick { 40 } else { 100 };
-    let mut s = Scenario::builder()
+    let builder = Scenario::builder()
         .nn(nn)
         .speed_mps(0.0)
         .settle_secs(if quick { 5 } else { 10 })
@@ -171,13 +176,13 @@ fn chaos_scenario(opts: &ChaosOpts, loss: f64, seed: u64) -> Scenario {
         .abrupt_ratio(0.0)
         .post_arrivals(nn / 10)
         .cooldown_secs(if quick { 15 } else { 30 })
-        .seed(seed)
-        .build()
-        .expect("chaos scenario is in-domain");
+        .seed(seed);
+    let timeline = builder.clone().build()?;
 
     // Head kills land after the network has settled, spaced out so the
     // protocols face them one at a time. The kill times derive from the
-    // built scenario's timeline, so the plan is attached afterwards.
+    // built scenario's timeline, so the plan goes through a second
+    // build, which range-checks its node references.
     let mut plan = match &opts.extra_plan {
         Some(p) => p.clone(),
         None => FaultPlan::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(loss.to_bits())),
@@ -185,16 +190,16 @@ fn chaos_scenario(opts: &ChaosOpts, loss: f64, seed: u64) -> Scenario {
     if loss > 0.0 {
         plan = plan.with_loss(loss);
     }
-    let settled = s.arrivals_done() + s.settle;
+    let settled = timeline.arrivals_done() + timeline.settle;
     for k in 0..opts.head_kills {
         plan = plan.with_head_kill(settled + SimDuration::from_secs(2) * u64::from(k + 1), 1);
     }
-    s.fault_plan = plan;
-    s
+    builder.fault_plan(plan).build()
 }
 
 fn run_cell<P: ChaosSubject>(opts: &ChaosOpts, loss: f64, seed: u64) -> CellOutcome {
-    let mut report = run_scenario(&chaos_scenario(opts, loss, seed), P::fresh());
+    let s = chaos_scenario(opts, loss, seed).expect("chaos_suite validated the plan");
+    let mut report = run_scenario(&s, P::fresh());
     let assigned = report.protocol().assigned_pairs(report.world());
     let (leaked, tracked) = report.protocol().leak_pair(report.world());
     let duplicates = count_duplicates(report.sim_mut().world_mut(), &assigned) as f64;
@@ -212,8 +217,15 @@ fn run_cell<P: ChaosSubject>(opts: &ChaosOpts, loss: f64, seed: u64) -> CellOutc
 /// Runs the chaos suite: one table per invariant, protocols as columns,
 /// loss rate as the x axis, `opts.head_kills` scheduled head kills in
 /// every run.
-#[must_use]
-pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
+///
+/// # Errors
+///
+/// Rejects an [`extra_plan`](ChaosOpts::extra_plan) naming a node the
+/// chaos scenario never spawns, before any run starts.
+pub fn chaos_suite(opts: &ChaosOpts) -> Result<Vec<Table>, ScenarioError> {
+    for loss in opts.loss_sweep() {
+        chaos_scenario(opts, loss, opts.fig.seed)?;
+    }
     let protocols = ["quorum", "MANETconf", "buddy", "C-tree"];
     let columns: Vec<String> = protocols.iter().map(|s| (*s).to_string()).collect();
     let kills = opts.head_kills;
@@ -283,7 +295,7 @@ pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
         t.note(note.clone());
         t.note("duplicates counted per connected component (quorum must stay at 0)");
     }
-    vec![dup_table, leak_table, lat_table]
+    Ok(vec![dup_table, leak_table, lat_table])
 }
 
 /// Per-round `(duplicates, leak%, latencies)` samples for one protocol
@@ -330,7 +342,7 @@ mod tests {
 
     #[test]
     fn suite_covers_all_protocols_and_loss_points() {
-        let tables = chaos_suite(&quick_opts());
+        let tables = chaos_suite(&quick_opts()).unwrap();
         assert_eq!(tables.len(), 3);
         for t in &tables {
             assert_eq!(t.columns.len(), 4);
@@ -344,7 +356,7 @@ mod tests {
             loss: Some(0.2),
             ..quick_opts()
         };
-        let dup = &chaos_suite(&opts)[0];
+        let dup = &chaos_suite(&opts).unwrap()[0];
         for (x, vals) in &dup.rows {
             assert_eq!(vals[0], 0.0, "quorum duplicated an address at loss {x}%");
         }
@@ -356,8 +368,8 @@ mod tests {
             loss: Some(0.2),
             ..quick_opts()
         };
-        let a = chaos_suite(&opts);
-        let b = chaos_suite(&opts);
+        let a = chaos_suite(&opts).unwrap();
+        let b = chaos_suite(&opts).unwrap();
         for (ta, tb) in a.iter().zip(&b) {
             assert_eq!(ta.rows, tb.rows);
         }
@@ -368,11 +380,29 @@ mod tests {
         // With heads dying and traffic lost, at least one protocol
         // shows a non-zero leak at the highest loss point.
         let opts = quick_opts();
-        let leak = &chaos_suite(&opts)[1];
+        let leak = &chaos_suite(&opts).unwrap()[1];
         let any = leak
             .rows
             .iter()
             .any(|(_, vals)| vals.iter().any(|v| *v > 0.0));
         assert!(any, "no leaked state at all: {:?}", leak.rows);
+    }
+
+    #[test]
+    fn extra_plan_naming_unspawned_nodes_is_rejected() {
+        // The quick chaos scenario spawns 40 nodes plus 4 post-arrivals.
+        for line in ["crash 9999 at 2s restart 4s", "attack 5000 squat at 3s"] {
+            let opts = ChaosOpts {
+                extra_plan: Some(FaultPlan::parse(line).unwrap()),
+                ..quick_opts()
+            };
+            let err = chaos_suite(&opts).unwrap_err().to_string();
+            assert!(err.contains("0-43"), "{line}: {err}");
+        }
+        let opts = ChaosOpts {
+            extra_plan: Some(FaultPlan::parse("crash 43 at 2s").unwrap()),
+            ..quick_opts()
+        };
+        assert!(chaos_scenario(&opts, 0.0, 7).is_ok());
     }
 }

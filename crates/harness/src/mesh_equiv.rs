@@ -1,4 +1,4 @@
-//! The mesh-backend equivalence runner behind `repro --backend mesh`.
+//! The mesh-backend equivalence runner behind `repro mesh`.
 //!
 //! Runs canned schedules end-to-end on both transports — backend #1,
 //! the pure discrete-event simulator, and backend #2, the UDP mesh

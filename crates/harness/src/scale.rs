@@ -10,33 +10,21 @@
 //! [`crate::sweep::run_jobs`] and merged **in ascending shard order**.
 //!
 //! Determinism contract (same as `sweep.json`): the artifact records
-//! nothing about *how* the run executed — not the thread count, not the
-//! engine selector, not scheduling order. Per-shard seeds are a pure
-//! function of `(base_seed, size index, shard index)`, and the merge
-//! order is fixed, so the same config produces byte-identical
-//! deterministic renderings on one thread or sixteen, under the full,
-//! incremental, or parallel topology engine (the engines are proven
-//! output-equivalent by the differential suite). Wall-clock fields
-//! render as 0 under `REPRO_NO_WALL_CLOCK=1`; the fingerprint always
-//! covers the zeroed form.
-//!
-//! The `topo` section is the engine microbenchmark: per size, one
-//! constant-density layout timed under the full rebuild, the
-//! incremental maintainer (post-drift update), and the parallel
-//! builder, with a link-set equality check across all three.
+//! nothing about *how* the run executed — not the thread count, not
+//! scheduling order. Per-shard seeds are a pure function of
+//! `(base_seed, size, shard index)`, and the merge order is fixed, so
+//! the same config produces byte-identical deterministic renderings on
+//! one thread or sixteen. Wall-clock fields render as 0 under
+//! `REPRO_NO_WALL_CLOCK=1`; the fingerprint always covers the zeroed
+//! form.
 
 use crate::scenario::{run_scenario, Scenario};
-use manet_sim::topology::Topology;
-use manet_sim::{Arena, EngineConfig, IncrementalTopology, Metrics, NodeId, Point, SimRng};
+use manet_sim::Metrics;
 use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
 
 /// The sizes the committed `BENCH_scale.json` covers.
 pub const DEFAULT_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// Transmission range every shard and topo row uses (the paper's
-/// 150 m baseline).
-pub const RANGE: f64 = 150.0;
 
 /// Configuration of one scale run.
 #[derive(Debug, Clone)]
@@ -50,8 +38,6 @@ pub struct ScaleConfig {
     pub base_seed: u64,
     /// Worker threads for the shard fan-out (`0` = one per CPU).
     pub threads: usize,
-    /// Topology engine every shard's world runs under.
-    pub engine: EngineConfig,
     /// Shrinks the per-shard drive (short arrival gap and settle
     /// window) so smoke runs finish fast.
     pub quick: bool,
@@ -64,7 +50,6 @@ impl Default for ScaleConfig {
             shard_nn: 128,
             base_seed: 42,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: false,
         }
     }
@@ -86,24 +71,6 @@ pub struct ScaleCell {
     pub wall_us: u64,
 }
 
-/// One engine-microbenchmark row.
-#[derive(Debug, Clone)]
-pub struct TopoRow {
-    /// Node count of the layout.
-    pub n: usize,
-    /// Directed link count of the full build (deterministic).
-    pub links: usize,
-    /// Whether full, incremental, and parallel builds produced the
-    /// same topology (deterministic; must be `true`).
-    pub agree: bool,
-    /// Microseconds per full rebuild (wall; zeroed deterministically).
-    pub full_us: f64,
-    /// Microseconds per incremental update after a small drift step.
-    pub incremental_us: f64,
-    /// Microseconds per parallel build (4 threads).
-    pub parallel_us: f64,
-}
-
 /// A completed scale run, ready to render as `BENCH_scale.json`.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
@@ -117,8 +84,6 @@ pub struct ScaleReport {
     pub cells: Vec<ScaleCell>,
     /// Shards that panicked: `(cell key, shard index, message)`.
     pub failed: Vec<(String, usize, String)>,
-    /// Engine microbenchmark rows, one per size.
-    pub topo: Vec<TopoRow>,
     /// Total wall-clock, microseconds.
     pub wall_us: u64,
 }
@@ -147,103 +112,23 @@ fn shard_sizes(n: usize, shard_nn: usize) -> Vec<usize> {
 /// The join-storm scenario one shard runs: every node arrives in a
 /// burst, then a short settle window. Static nodes — the storm is the
 /// workload, mobility is the sweep's axis.
-fn shard_scenario(nn: usize, seed: u64, quick: bool, engine: EngineConfig) -> Scenario {
+fn shard_scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
     Scenario::builder()
         .nn(nn)
         .speed_mps(0.0)
         .arrival_gap_ms(if quick { 50 } else { 100 })
         .settle_secs(if quick { 3 } else { 5 })
         .connected_arrivals(true)
-        .engine(engine)
         .seed(seed)
         .build()
         .expect("shard scenario is in-domain")
 }
 
-fn run_shard(nn: usize, seed: u64, quick: bool, engine: EngineConfig) -> (Metrics, u64) {
-    let s = shard_scenario(nn, seed, quick, engine);
+fn run_shard(nn: usize, seed: u64, quick: bool) -> (Metrics, u64) {
+    let s = shard_scenario(nn, seed, quick);
     let report = run_scenario(&s, Qbac::new(ProtocolConfig::default()));
     let sim_us = report.world().now().as_micros();
     (report.into_measurements().metrics, sim_us)
-}
-
-/// Median over `reps` samples of the mean per-call time of `f`, in
-/// microseconds (the same estimator the bench crate records with).
-fn time_us<R>(reps: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// A constant-density layout: the arena side grows with `sqrt(n)` so
-/// mean degree stays flat (~28 neighbors at 150 m) as `n` scales.
-fn dense_layout(n: usize, seed: u64) -> Vec<(NodeId, Point)> {
-    let side = (n as f64).sqrt() * 50.0;
-    let arena = Arena::new(side.max(1.0), side.max(1.0));
-    let mut rng = SimRng::seed_from(seed);
-    (0..n)
-        .map(|i| (NodeId::new(i as u64), rng.point_in(&arena)))
-        .collect()
-}
-
-/// Moves every node in the arena's bottom strip a few meters — the
-/// spatially localized drift the dirty-strip maintainer targets: only
-/// the touched rows are re-swept, so the update cost tracks the moving
-/// region, not the arena. (Arena-wide scatter degrades gracefully to a
-/// full rebuild; the differential suite covers that regime.)
-fn drift(nodes: &mut [(NodeId, Point)], step: f64) {
-    for (_, p) in nodes.iter_mut() {
-        if p.y < 300.0 {
-            p.x += step;
-        }
-    }
-}
-
-fn topo_row(n: usize, seed: u64) -> TopoRow {
-    let nodes = dense_layout(n, seed);
-    let full = Topology::build(&nodes, RANGE);
-    let links = full.link_count();
-    // Incremental: seed the maintainer, drift, and measure the update.
-    let mut inc = IncrementalTopology::default();
-    let mut moved = nodes.clone();
-    let _ = inc.update(&moved, RANGE);
-    drift(&mut moved, 3.0);
-    let inc_topo = inc.update(&moved, RANGE);
-    let par = Topology::build_parallel(&nodes, RANGE, 4);
-    let agree = par == full && inc_topo == Topology::build(&moved, RANGE);
-    // One sample per engine is enough below 100k; keep reps tiny so a
-    // full run stays dominated by the storm, not the microbench.
-    let iters = (200_000 / n.max(1)).clamp(1, 50);
-    let full_us = time_us(3, iters, || Topology::build(&nodes, RANGE));
-    let parallel_us = time_us(3, iters, || Topology::build_parallel(&nodes, RANGE, 4));
-    // Alternate between two pre-built layouts so every timed update
-    // sees a genuine diff without cloning inside the timer.
-    let alt = {
-        let mut m = moved.clone();
-        drift(&mut m, 0.5);
-        m
-    };
-    let mut flip = false;
-    let incremental_us = time_us(3, iters, || {
-        flip = !flip;
-        inc.update(if flip { &alt } else { &moved }, RANGE)
-    });
-    TopoRow {
-        n,
-        links,
-        agree,
-        full_us,
-        incremental_us,
-        parallel_us,
-    }
 }
 
 /// Stable cell key, mirroring the sweep grammar so `repro gate` can
@@ -252,8 +137,7 @@ fn cell_key(nn: usize) -> String {
     format!("quorum/n{nn}/v0/random-waypoint/loss0/scale-storm")
 }
 
-/// Runs the whole scale config: every size's shard fan-out, then the
-/// engine microbenchmark per size.
+/// Runs the whole scale config: every size's shard fan-out.
 #[must_use]
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     let t0 = std::time::Instant::now();
@@ -272,12 +156,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
     let results = crate::sweep::run_jobs(jobs.len(), threads, |j| {
         let (ci, si, nn) = jobs[j];
-        run_shard(
-            nn,
-            mix_seed(cfg.base_seed, cfg.sizes[ci], si),
-            cfg.quick,
-            cfg.engine,
-        )
+        run_shard(nn, mix_seed(cfg.base_seed, cfg.sizes[ci], si), cfg.quick)
     });
     let mut cells: Vec<ScaleCell> = cfg
         .sizes
@@ -308,18 +187,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     for c in &mut cells {
         c.wall_us = per_cell_wall;
     }
-    let topo = cfg
-        .sizes
-        .iter()
-        .map(|&n| topo_row(n, cfg.base_seed))
-        .collect();
     ScaleReport {
         base_seed: cfg.base_seed,
         shard_nn: cfg.shard_nn,
         quick: cfg.quick,
         cells,
         failed,
-        topo,
         wall_us: t0.elapsed().as_micros() as u64,
     }
 }
@@ -353,9 +226,9 @@ impl ScaleReport {
         doc.seal()
     }
 
-    /// Everything up to (and excluding) the fingerprint field. Thread
-    /// count and engine selector are deliberately absent: the artifact
-    /// must not depend on how the run executed.
+    /// Everything up to (and excluding) the fingerprint field. The
+    /// thread count is deliberately absent: the artifact must not
+    /// depend on how the run executed.
     fn render_body(&self, zero_walls: bool) -> crate::artifact::Artifact {
         let mut s = crate::artifact::Artifact::begin();
         let _ = write!(
@@ -398,22 +271,6 @@ impl ScaleReport {
                 "{{\"cell\":\"{key}\",\"shard\":{shard},\"panic\":\"{clean}\"}}"
             );
         }
-        s.push("],\"topo\":[");
-        for (i, r) in self.topo.iter().enumerate() {
-            if i > 0 {
-                s.push(",");
-            }
-            let (f, inc, par) = if zero_walls {
-                (0.0, 0.0, 0.0)
-            } else {
-                (r.full_us, r.incremental_us, r.parallel_us)
-            };
-            let _ = write!(
-                s,
-                "{{\"n\":{},\"links\":{},\"agree\":{},\"full_us\":{f:.2},\"incremental_us\":{inc:.2},\"parallel_us\":{par:.2}}}",
-                r.n, r.links, r.agree,
-            );
-        }
         let wall = if zero_walls { 0 } else { self.wall_us };
         let _ = write!(s, "],\"wall_us\":{wall},");
         s
@@ -423,15 +280,13 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::TopologyEngine;
 
-    fn tiny(engine: EngineConfig, threads: usize) -> ScaleReport {
+    fn tiny(threads: usize) -> ScaleReport {
         run_scale(&ScaleConfig {
             sizes: vec![96],
             shard_nn: 48,
             base_seed: 7,
             threads,
-            engine,
             quick: true,
         })
     }
@@ -449,25 +304,24 @@ mod tests {
     }
 
     #[test]
-    fn scale_is_byte_identical_across_threads_and_engines() {
-        // The tentpole's pinned determinism claim: one thread under the
-        // default full-rebuild engine vs. four threads under the
-        // parallel engine — same bytes.
-        let a = tiny(EngineConfig::full(), 1);
-        let b = tiny(EngineConfig::parallel(4), 4);
-        assert_eq!(
-            a.deterministic_json(),
-            b.deterministic_json(),
-            "scale artifact must not depend on threads or engine"
-        );
-        let c = tiny(EngineConfig::incremental(), 2);
-        assert_eq!(a.deterministic_json(), c.deterministic_json());
-        assert_eq!(a.fingerprint(), b.fingerprint());
+    fn scale_is_byte_identical_across_threads() {
+        // The pinned determinism claim: one, two and four worker
+        // threads render the same bytes.
+        let a = tiny(1);
+        for threads in [2, 4] {
+            let b = tiny(threads);
+            assert_eq!(
+                a.deterministic_json(),
+                b.deterministic_json(),
+                "scale artifact must not depend on threads ({threads})"
+            );
+            assert_eq!(a.fingerprint(), b.fingerprint());
+        }
     }
 
     #[test]
     fn scale_cells_configure_nodes_and_gate_against_themselves() {
-        let r = tiny(EngineConfig::default(), 0);
+        let r = tiny(0);
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].shards, 2);
         assert!(r.failed.is_empty(), "{:?}", r.failed);
@@ -490,7 +344,6 @@ mod tests {
             shard_nn: 48,
             base_seed: 7,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: true,
         });
         let smoke = run_scale(&ScaleConfig {
@@ -498,7 +351,6 @@ mod tests {
             shard_nn: 48,
             base_seed: 7,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: true,
         });
         // Size-keyed shard seeds make the shared cell an *exact*
@@ -510,14 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn topo_rows_agree_across_engines() {
-        let r = topo_row(800, 11);
-        assert!(r.agree, "engines disagreed at n=800");
-        assert!(r.links > 0);
-        assert!(r.full_us > 0.0 && r.parallel_us > 0.0 && r.incremental_us > 0.0);
-    }
-
-    #[test]
     fn mixed_seeds_do_not_collide_across_shards() {
         let mut seen = std::collections::HashSet::new();
         for cell in 0..8 {
@@ -525,12 +369,5 @@ mod tests {
                 assert!(seen.insert(mix_seed(42, cell, shard)));
             }
         }
-    }
-
-    #[test]
-    fn engine_config_reaches_the_shard_world() {
-        let s = shard_scenario(48, 1, true, EngineConfig::parallel(3));
-        assert_eq!(s.engine.engine_kind(), TopologyEngine::Parallel);
-        assert_eq!(s.engine.thread_count(), 3);
     }
 }

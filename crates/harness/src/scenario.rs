@@ -7,8 +7,8 @@
 //! chosen to depart gracefully or abruptly."
 
 use manet_sim::{
-    Arena, EngineConfig, FaultPlan, Metrics, MobilityConfig, NodeId, Protocol, Sim, SimDuration,
-    SimTime, World, WorldConfig,
+    Arena, FaultPlan, Metrics, MobilityConfig, NodeId, Protocol, Sim, SimDuration, SimTime, World,
+    WorldConfig,
 };
 
 /// A reproducible experiment scenario.
@@ -66,10 +66,6 @@ pub struct Scenario {
     /// When non-zero, enables bounded event tracing with this capacity
     /// so the run can be exported as JSONL (default: 0, off).
     pub trace_capacity: usize,
-    /// Topology engine the simulation world runs
-    /// (full-rebuild/incremental/parallel — all byte-identical; default
-    /// full, the historical engine).
-    pub engine: EngineConfig,
     /// Size of the address pool the protocol allocates from (default
     /// 2^16, the workspace's stock `/16`-equivalent block). The builder
     /// rejects `nn > pool_size`: more nodes than addresses cannot all
@@ -98,7 +94,6 @@ impl Default for Scenario {
             fault_plan: FaultPlan::default(),
             observe: false,
             trace_capacity: 0,
-            engine: EngineConfig::default(),
             pool_size: 1 << 16,
         }
     }
@@ -115,7 +110,7 @@ pub enum ScenarioError {
         /// The rejected value, rendered for the error message.
         value: String,
         /// The accepted domain, e.g. `"within [0, 1]"`.
-        expected: &'static str,
+        expected: String,
     },
 }
 
@@ -287,15 +282,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the topology engine (full-rebuild, incremental, or
-    /// parallel — all produce byte-identical snapshots; full is the
-    /// default).
-    #[must_use]
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.s.engine = engine;
-        self
-    }
-
     /// Size of the address pool the protocol allocates from (default
     /// 2^16). Must be at least `nn`.
     #[must_use]
@@ -324,11 +310,11 @@ impl ScenarioBuilder {
     /// runs (10⁵ nodes and beyond) are valid as long as the pool can
     /// hold them.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        let out_of_range = |field: &'static str, value: String, expected: &'static str| {
+        let out_of_range = |field: &'static str, value: String, expected: &str| {
             Err(ScenarioError::OutOfRange {
                 field,
                 value,
-                expected,
+                expected: expected.to_string(),
             })
         };
         let s = self.s;
@@ -343,6 +329,7 @@ impl ScenarioBuilder {
             );
         }
         let spawned = (s.nn + s.post_arrivals) as u64;
+        let spawned_range = || format!("a node the scenario spawns (0-{})", spawned - 1);
         if let Some(c) = s
             .fault_plan
             .crashes
@@ -352,7 +339,7 @@ impl ScenarioBuilder {
             return out_of_range(
                 "fault_plan",
                 format!("crash of node {}", c.node.index()),
-                "a node the scenario spawns",
+                &spawned_range(),
             );
         }
         if let Some(a) = s
@@ -364,7 +351,7 @@ impl ScenarioBuilder {
             return out_of_range(
                 "fault_plan",
                 format!("attack role on node {}", a.node.index()),
-                "a node the scenario spawns",
+                &spawned_range(),
             );
         }
         if s.tr.is_nan() || s.tr <= 0.0 {
@@ -448,7 +435,6 @@ impl Scenario {
             loss_rate: self.loss_rate,
             seed: self.seed,
             fault_plan: self.fault_plan.clone(),
-            engine: self.engine,
             ..WorldConfig::default()
         }
     }
@@ -836,20 +822,6 @@ mod tests {
         let ScenarioError::OutOfRange { field, value, .. } = err;
         assert_eq!(field, "fault_plan");
         assert!(value.contains("11"), "{value}");
-    }
-
-    #[test]
-    fn engine_flows_through_to_world_config() {
-        use manet_sim::TopologyEngine;
-        let s = Scenario::builder()
-            .engine(EngineConfig::parallel(4))
-            .build()
-            .expect("valid engine");
-        assert_eq!(
-            s.world_config().engine.engine_kind(),
-            TopologyEngine::Parallel
-        );
-        assert_eq!(s.world_config().engine.thread_count(), 4);
     }
 
     #[test]

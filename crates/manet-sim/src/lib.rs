@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 mod event;
 pub mod faults;
 pub mod mobility;
@@ -88,7 +87,6 @@ pub use proto_io::{
     WireMsg,
 };
 
-pub use engine::{EngineConfig, IncrementalTopology, TopologyEngine, TopologyView};
 pub use faults::{AttackRole, FaultPlan};
 pub use mobility::{MobilityConfig, MobilityModel, RetargetCtx};
 pub use observer::{FlowTally, Observer};

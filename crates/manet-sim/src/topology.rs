@@ -53,7 +53,7 @@ use std::collections::{HashMap, VecDeque};
 /// rounded and therefore monotone over the non-negative floats, whose
 /// bit patterns order the same way, so a 64-step binary search over the
 /// bits finds the exact cutoff.
-pub(crate) fn d2_threshold(range: f64) -> f64 {
+fn d2_threshold(range: f64) -> f64 {
     let (mut lo, mut hi) = (0u64, f64::MAX.to_bits());
     if f64::MAX.sqrt() <= range {
         return f64::MAX;
@@ -72,7 +72,7 @@ pub(crate) fn d2_threshold(range: f64) -> f64 {
 /// Packs an `x` coordinate as its order-preserving integer bits
 /// (sign-magnitude flipped to two's-complement order), so row sorts
 /// compare a single integer.
-pub(crate) fn xkey(x: f64) -> u64 {
+fn xkey(x: f64) -> u64 {
     let bits = x.to_bits();
     if x.is_sign_negative() {
         !bits
@@ -83,12 +83,7 @@ pub(crate) fn xkey(x: f64) -> u64 {
 
 /// The strip-sweep working set: nodes counting-sorted into y-rows and
 /// x-sorted within each row, plus the exact link-predicate constants.
-/// [`Topology::build`] scans all rows serially;
-/// [`Topology::build_parallel`] hands disjoint row chunks to scoped
-/// threads — both produce the identical link list per row, so the
-/// concatenation (and therefore the CSR) is byte-identical regardless
-/// of how the rows were scanned.
-pub(crate) struct StripLayout {
+struct StripLayout {
     /// Row boundaries into the sweep-ordered arrays, length `nrows + 1`.
     row_starts: Vec<u32>,
     /// Original node index per sweep position.
@@ -103,7 +98,7 @@ impl StripLayout {
     /// Bins and sorts `nodes`; `None` when the strip engine does not
     /// apply (degenerate range, non-finite coordinates, or too few
     /// nodes to beat the naive sweep).
-    pub(crate) fn new(nodes: &[(NodeId, Point)], range: f64) -> Option<Self> {
+    fn new(nodes: &[(NodeId, Point)], range: f64) -> Option<Self> {
         let range_usable = range > 0.0 && range.is_finite();
         let finite = nodes
             .iter()
@@ -177,26 +172,21 @@ impl StripLayout {
         })
     }
 
-    pub(crate) fn nrows(&self) -> usize {
-        self.row_starts.len() - 1
-    }
-
-    /// Scans rows `r0..r1` and appends every accepted link, packed
+    /// Scans every row and returns each accepted link, packed
     /// `(src << 32 | dst)` in original node indices, one orientation
-    /// each. Link order within the scanned range is deterministic and
-    /// independent of how the full row range was chunked.
-    pub(crate) fn scan_rows(&self, r0: usize, r1: usize, links: &mut Vec<u64>) {
+    /// each.
+    fn scan_rows(&self) -> Vec<u64> {
         let n = self.order.len();
         let (xs, ys, order) = (&self.xs[..], &self.ys[..], &self.order[..]);
         let (r_slack, t) = (self.r_slack, self.t);
-        let nrows = self.nrows();
+        let nrows = self.row_starts.len() - 1;
         // Branchless accept: the slot is always written, the cursor only
         // advances on a hit, so the ~35%-taken range test never
         // mispredicts. The in-loop check keeps a full row of headroom so
         // the stores run unconditionally.
-        let mut lc = links.len();
-        links.resize(lc + n + 1024, 0);
-        for r in r0..r1 {
+        let mut links = vec![0u64; n + 1024];
+        let mut lc = 0;
+        for r in 0..nrows {
             let (s, e) = (self.row_starts[r] as usize, self.row_starts[r + 1] as usize);
             let (bs, be) = if r + 1 < nrows {
                 (
@@ -247,6 +237,7 @@ impl StripLayout {
             }
         }
         links.truncate(lc);
+        links
     }
 }
 
@@ -306,51 +297,7 @@ impl Topology {
         let Some(layout) = StripLayout::new(nodes, range) else {
             return Self::build_naive(nodes, range);
         };
-        let mut links = Vec::new();
-        layout.scan_rows(0, layout.nrows(), &mut links);
-        Self::from_links(nodes, &links)
-    }
-
-    /// Builds the same graph as [`Topology::build`], scanning row
-    /// chunks on `threads` scoped worker threads. Each chunk produces
-    /// exactly the link list the serial scan would for those rows, and
-    /// chunks are concatenated in row order, so the output is
-    /// byte-identical to `build` for every thread count.
-    #[must_use]
-    pub fn build_parallel(nodes: &[(NodeId, Point)], range: f64, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let Some(layout) = StripLayout::new(nodes, range) else {
-            return Self::build_naive(nodes, range);
-        };
-        let nrows = layout.nrows();
-        // Too few rows to amortize thread spawns: scan inline.
-        if threads == 1 || nrows < 2 * threads {
-            let mut links = Vec::new();
-            layout.scan_rows(0, nrows, &mut links);
-            return Self::from_links(nodes, &links);
-        }
-        let chunk = nrows.div_ceil(threads);
-        let parts: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            let layout = &layout;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let (r0, r1) = (w * chunk, ((w + 1) * chunk).min(nrows));
-                        let mut links = Vec::new();
-                        if r0 < r1 {
-                            layout.scan_rows(r0, r1, &mut links);
-                        }
-                        links
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("row-scan worker panicked"))
-                .collect()
-        });
-        let links = parts.concat();
-        Self::from_links(nodes, &links)
+        Self::from_links(nodes, &layout.scan_rows())
     }
 
     /// Builds the same graph with the naive O(n²) all-pairs sweep. This
@@ -382,7 +329,7 @@ impl Topology {
     /// in the output), which frees pass one to interleave four
     /// independent scatter chains so the read-modify-write latency of
     /// the position cursors overlaps instead of serializing.
-    pub(crate) fn from_links(nodes: &[(NodeId, Point)], links: &[u64]) -> Self {
+    fn from_links(nodes: &[(NodeId, Point)], links: &[u64]) -> Self {
         let n = nodes.len();
         let ne = links.len() * 2;
         let mut deg = vec![0u32; n + 1];
@@ -700,9 +647,8 @@ impl Topology {
 
 /// Structural equality: same nodes in the same dense order with the
 /// same CSR adjacency. Memo caches are query state, not structure, so
-/// they are ignored — a fresh build and an incrementally-maintained
-/// build of the same instant compare equal even if one has answered
-/// queries and the other has not.
+/// they are ignored — two builds of the same instant compare equal
+/// even if one has answered queries and the other has not.
 impl PartialEq for Topology {
     fn eq(&self, other: &Self) -> bool {
         self.ids == other.ids && self.adj_starts == other.adj_starts && self.adj == other.adj

@@ -12,8 +12,7 @@
 use manet_sim::mobility::MobilityState;
 use manet_sim::topology::Topology;
 use manet_sim::{
-    Arena, IncrementalTopology, Net, NodeId, Point, Protocol, Sim, SimDuration, SimRng, World,
-    WorldConfig,
+    Arena, Net, NodeId, Point, Protocol, Sim, SimDuration, SimRng, World, WorldConfig,
 };
 use proptest::prelude::*;
 
@@ -86,98 +85,9 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Incremental and parallel engines vs. the fresh build
-// ---------------------------------------------------------------------
-
-/// One random mutation of an (ascending-by-id) layout: a local drift,
-/// a teleport, a crash (removal), or a join. Returns a label for
-/// failure messages.
-fn mutate_layout(
-    nodes: &mut Vec<(NodeId, Point)>,
-    next_id: &mut u64,
-    rng: &mut SimRng,
-    arena: &Arena,
-) -> &'static str {
-    let roll = rng.point_in(arena).x;
-    if nodes.is_empty() || roll < arena.width() * 0.4 {
-        // Join: fresh id strictly above every existing one.
-        let p = rng.point_in(arena);
-        nodes.push((NodeId::new(*next_id), p));
-        *next_id += 1;
-        "join"
-    } else if roll < arena.width() * 0.55 {
-        // Crash: drop one node, ascending order preserved.
-        let idx = (rng.point_in(arena).y / arena.height() * nodes.len() as f64) as usize;
-        nodes.remove(idx.min(nodes.len() - 1));
-        "crash"
-    } else if roll < arena.width() * 0.8 {
-        // Local drift: a handful of nodes wander a few meters.
-        for (i, (_, p)) in nodes.iter_mut().enumerate() {
-            if i % 7 == 0 {
-                let d = rng.point_in(arena);
-                p.x = (p.x + d.x * 0.02 - arena.width() * 0.01).clamp(0.0, arena.width());
-                p.y = (p.y + d.y * 0.02 - arena.height() * 0.01).clamp(0.0, arena.height());
-            }
-        }
-        "drift"
-    } else {
-        // Teleport: one node jumps arena-wide.
-        let idx = (rng.point_in(arena).y / arena.height() * nodes.len() as f64) as usize;
-        let idx = idx.min(nodes.len() - 1);
-        nodes[idx].1 = rng.point_in(arena);
-        "teleport"
-    }
-}
-
-proptest! {
-    /// The dirty-strip incremental maintainer is indistinguishable from
-    /// a fresh build across arbitrary interleavings of moves, joins,
-    /// and crashes — the tentpole's correctness obligation.
-    #[test]
-    fn incremental_equals_fresh_across_mutations(
-        n in 0usize..120,
-        range in 20.0f64..400.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let arena = Arena::new(1000.0, 1000.0);
-        let mut rng = SimRng::seed_from(seed);
-        let mut nodes = random_layout(seed, n, 1000.0);
-        let mut next_id = n as u64;
-        let mut inc = IncrementalTopology::new();
-        for round in 0..8 {
-            let op = mutate_layout(&mut nodes, &mut next_id, &mut rng, &arena);
-            let maintained = inc.update(&nodes, range);
-            let fresh = Topology::build(&nodes, range);
-            prop_assert!(
-                maintained == fresh,
-                "round {round} ({op}, n={}): incremental diverged from fresh",
-                nodes.len()
-            );
-        }
-    }
-
-    /// The parallel builder equals the serial one for every thread
-    /// count, including over-subscription past the row count.
-    #[test]
-    fn parallel_build_equals_serial(
-        n in 0usize..150,
-        range in 20.0f64..600.0,
-        seed in 0u64..1_000_000,
-        threads in 1usize..9,
-    ) {
-        let nodes = random_layout(seed, n, 1000.0);
-        let serial = Topology::build(&nodes, range);
-        let parallel = Topology::build_parallel(&nodes, range, threads);
-        prop_assert!(parallel == serial, "threads={threads} diverged");
-        assert_same_graph(&parallel, &Topology::build_naive(&nodes, range), &nodes);
-    }
-}
-
 /// Degenerate layouts the proptest distributions rarely produce: every
 /// node coincident, a collinear line along a row boundary, the sub-32
-/// naive fallback, duplicate positions, and an empty world — for all
-/// three engines at once.
+/// naive fallback, duplicate positions, and an empty world.
 #[test]
 fn engines_agree_on_degenerate_layouts() {
     let layouts: Vec<(&str, Vec<(NodeId, Point)>)> = vec![
@@ -228,16 +138,7 @@ fn engines_agree_on_degenerate_layouts() {
             let fresh = Topology::build(nodes, range);
             let naive = Topology::build_naive(nodes, range);
             assert_same_graph(&fresh, &naive, nodes);
-            let mut inc = IncrementalTopology::new();
-            // Twice: once cold, once warm (the warm path re-sweeps).
-            assert!(inc.update(nodes, range) == fresh, "{label} r={range} cold");
-            assert!(inc.update(nodes, range) == fresh, "{label} r={range} warm");
-            for threads in [1, 4] {
-                assert!(
-                    Topology::build_parallel(nodes, range, threads) == fresh,
-                    "{label} r={range} threads={threads}"
-                );
-            }
+            assert!(fresh == naive, "{label} r={range}");
         }
     }
 }
