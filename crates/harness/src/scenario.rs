@@ -295,8 +295,9 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Rejects values outside their meaningful domain: `nn == 0`,
-    /// `nn` larger than the address pool, `tr <= 0`, `area <= 0`,
-    /// `speed < 0`, `depart_fraction` or `abrupt_ratio` outside
+    /// `nn` larger than the address pool, `tr`, `area` or `speed`
+    /// infinite or NaN, `tr <= 0`, `area <= 0`, `speed < 0`,
+    /// `depart_fraction` or `abrupt_ratio` outside
     /// `[0, 1]`, fault-plan crash/attack events naming nodes the
     /// scenario never spawns (those would otherwise sit in the
     /// schedule and silently never fire — or worse, fire against a
@@ -354,14 +355,14 @@ impl ScenarioBuilder {
                 &spawned_range(),
             );
         }
-        if s.tr.is_nan() || s.tr <= 0.0 {
-            return out_of_range("tr_m", s.tr.to_string(), "positive");
+        if !(s.tr > 0.0 && s.tr.is_finite()) {
+            return out_of_range("tr_m", s.tr.to_string(), "positive and finite");
         }
-        if s.area.is_nan() || s.area <= 0.0 {
-            return out_of_range("area_m", s.area.to_string(), "positive");
+        if !(s.area > 0.0 && s.area.is_finite()) {
+            return out_of_range("area_m", s.area.to_string(), "positive and finite");
         }
-        if s.speed.is_nan() || s.speed < 0.0 {
-            return out_of_range("speed_mps", s.speed.to_string(), "non-negative");
+        if !(s.speed >= 0.0 && s.speed.is_finite()) {
+            return out_of_range("speed_mps", s.speed.to_string(), "non-negative and finite");
         }
         if !(0.0..=1.0).contains(&s.depart_fraction) {
             return out_of_range(
@@ -774,6 +775,30 @@ mod tests {
             let ScenarioError::OutOfRange { field: got, .. } = err;
             assert_eq!(got, field);
         }
+    }
+
+    /// Asserts `broken` fails to build with an `OutOfRange` naming
+    /// `field` and rendering the rejected value as `inf`.
+    fn assert_rejects_infinite(broken: ScenarioBuilder, field: &str) {
+        let ScenarioError::OutOfRange {
+            field: got, value, ..
+        } = broken.build().expect_err(field);
+        assert_eq!((got, value.as_str()), (field, "inf"));
+    }
+
+    #[test]
+    fn builder_rejects_infinite_area() {
+        assert_rejects_infinite(Scenario::builder().area_m(f64::INFINITY), "area_m");
+    }
+
+    #[test]
+    fn builder_rejects_infinite_range() {
+        assert_rejects_infinite(Scenario::builder().tr_m(f64::INFINITY), "tr_m");
+    }
+
+    #[test]
+    fn builder_rejects_infinite_speed() {
+        assert_rejects_infinite(Scenario::builder().speed_mps(f64::INFINITY), "speed_mps");
     }
 
     #[test]

@@ -32,17 +32,25 @@
 //!
 //! BFS-backed queries ([`distances_from`](Topology::distances_from),
 //! [`hops`](Topology::hops), [`within`](Topology::within),
-//! [`component_of`](Topology::component_of),
-//! [`components`](Topology::components)) memoize per-source distance
-//! vectors and the component partition behind a [`RefCell`], so repeated
-//! queries against one snapshot — the common case while the
-//! [`World`](crate::World) topology cache holds a snapshot for a whole
-//! quantum — run the traversal once. The id→index map is built lazily
-//! on the first query for the same reason: a snapshot that is rebuilt
-//! before anyone queries it never pays for the map. The caches live
-//! *inside* the snapshot, so they are dropped with it the moment the
-//! world's `(quantum bucket, membership/mobility version)` cache key
-//! rotates; there is no separate invalidation protocol to get wrong.
+//! [`connected`](Topology::connected)) share one *resumable* BFS per
+//! source per snapshot, kept behind a [`RefCell`]: the distance vector,
+//! the discovery order (level by level) and the index of the next node
+//! to expand. Each query runs it only as far as its answer needs —
+//! `hops(a, b)` until `b` is discovered, `within(n, k)` until the next
+//! node to expand sits at depth `k` (for `k = 1` that is the source's
+//! adjacency slice), `distances_from` to completion — and a later query
+//! from the same source resumes where the last one stopped. So the
+//! local queries protocols make (one-hop hellos, two- and three-hop
+//! neighborhoods) touch only the neighborhood they ask about, and no
+//! snapshot ever expands a source more than once. The component
+//! partition ([`component_of`](Topology::component_of),
+//! [`components`](Topology::components)) is memoized beside it. The
+//! id→index map is built lazily on the first query for the same reason:
+//! a snapshot that is rebuilt before anyone queries it never pays for
+//! the map. The caches live *inside* the snapshot, so they are dropped
+//! with it the moment the [`World`](crate::World) topology cache's
+//! `(quantum bucket, membership/mobility version)` key rotates; there
+//! is no separate invalidation protocol to get wrong.
 
 use crate::{NodeId, Point};
 use std::cell::RefCell;
@@ -241,15 +249,58 @@ impl StripLayout {
     }
 }
 
+/// A breadth-first search from one source that can stop and resume.
+/// Nodes enter `order` when discovered, so `order` is sorted by depth;
+/// `order[..head]` have been expanded, `order[head..]` are the
+/// frontier still to expand.
+#[derive(Debug, Clone)]
+struct Bfs {
+    /// Hop distance per dense index, `u32::MAX` while undiscovered.
+    dist: Vec<u32>,
+    /// Dense indices in discovery order, the source first.
+    order: Vec<u32>,
+    /// Index into `order` of the next node to expand.
+    head: usize,
+}
+
+impl Bfs {
+    fn new(n: usize, start: usize) -> Self {
+        let mut dist = vec![u32::MAX; n];
+        dist[start] = 0;
+        Bfs {
+            dist,
+            order: vec![start as u32],
+            head: 0,
+        }
+    }
+
+    /// Expands nodes in discovery order while any remain and `more`
+    /// holds for the search as it stands (`order[head]` is then the
+    /// next node to expand).
+    fn run(&mut self, topo: &Topology, mut more: impl FnMut(&Self) -> bool) {
+        while self.head < self.order.len() && more(self) {
+            let u = self.order[self.head] as usize;
+            self.head += 1;
+            let du = self.dist[u] + 1;
+            for &v in topo.neighbor_indices_at(u) {
+                let d = &mut self.dist[v as usize];
+                if *d == u32::MAX {
+                    *d = du;
+                    self.order.push(v);
+                }
+            }
+        }
+    }
+}
+
 /// Memoized query state for one snapshot. Interior-mutable so the
 /// read-only query API can fill it lazily; never outlives the snapshot.
 #[derive(Debug, Clone, Default)]
 struct MemoCache {
     /// Lazily-built id → dense-index map (builds never query it).
     index: Option<HashMap<NodeId, usize>>,
-    /// Per-source BFS distance vector (`u32::MAX` = unreachable),
-    /// keyed by source index.
-    dist: HashMap<usize, Vec<u32>>,
+    /// Resumable BFS per source index; empty until the first BFS query.
+    bfs: Vec<Option<Bfs>>,
     /// Component partition: `(components sorted by smallest member,
     /// component index per node)`.
     comps: Option<(Vec<Vec<NodeId>>, Vec<usize>)>,
@@ -497,28 +548,24 @@ impl Topology {
             .collect()
     }
 
-    /// Runs (or recalls) the BFS from dense index `start` and hands the
-    /// distance vector to `f`. The vector is computed at most once per
-    /// source per snapshot.
-    fn with_dist<R>(&self, start: usize, f: impl FnOnce(&[u32]) -> R) -> R {
+    /// Hands `f` the resumable BFS from dense index `start`, creating
+    /// it on first use. `f` advances it as far as its query needs.
+    fn with_bfs<R>(&self, start: usize, f: impl FnOnce(&mut Bfs) -> R) -> R {
         let mut cache = self.cache.borrow_mut();
-        let dist = cache.dist.entry(start).or_insert_with(|| {
-            let mut dist = vec![u32::MAX; self.ids.len()];
-            let mut queue = VecDeque::new();
-            dist[start] = 0;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in self.neighbor_indices_at(u) {
-                    let v = v as usize;
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            dist
-        });
-        f(dist)
+        let n = self.ids.len();
+        if cache.bfs.is_empty() {
+            cache.bfs.resize_with(n, || None);
+        }
+        f(cache.bfs[start].get_or_insert_with(|| Bfs::new(n, start)))
+    }
+
+    /// Runs the BFS from dense index `start` to completion and hands `f`
+    /// the distance per dense index (`u32::MAX` = unreachable).
+    pub(crate) fn with_distances_at<R>(&self, start: usize, f: impl FnOnce(&[u32]) -> R) -> R {
+        self.with_bfs(start, |bfs| {
+            bfs.run(self, |_| true);
+            f(&bfs.dist)
+        })
     }
 
     /// BFS distances (in hops) from `node` to every reachable node,
@@ -528,7 +575,7 @@ impl Topology {
         let Some(start) = self.index_of(node) else {
             return HashMap::new();
         };
-        self.with_dist(start, |dist| {
+        self.with_distances_at(start, |dist| {
             dist.iter()
                 .enumerate()
                 .filter(|&(_, d)| *d != u32::MAX)
@@ -545,8 +592,10 @@ impl Topology {
             return self.contains(a).then_some(0);
         }
         let (start, target) = (self.index_of(a)?, self.index_of(b)?);
-        self.with_dist(start, |dist| {
-            (dist[target] != u32::MAX).then_some(dist[target])
+        self.with_bfs(start, |bfs| {
+            bfs.run(self, |bfs| bfs.dist[target] == u32::MAX);
+            let d = bfs.dist[target];
+            (d != u32::MAX).then_some(d)
         })
     }
 
@@ -557,14 +606,18 @@ impl Topology {
         let Some(start) = self.index_of(node) else {
             return Vec::new();
         };
-        let mut v: Vec<(NodeId, u32)> = self.with_dist(start, |dist| {
-            dist.iter()
-                .enumerate()
-                .filter(|&(i, d)| i != start && *d != u32::MAX && *d <= k)
-                .map(|(i, d)| (self.ids[i], *d))
+        let mut v: Vec<(NodeId, u32)> = self.with_bfs(start, |bfs| {
+            // Once the next node to expand sits at depth k, every node
+            // at depth <= k is discovered, and they form a prefix of
+            // `order`.
+            bfs.run(self, |bfs| bfs.dist[bfs.order[bfs.head] as usize] < k);
+            let end = bfs.order.partition_point(|&i| bfs.dist[i as usize] <= k);
+            bfs.order[1..end]
+                .iter()
+                .map(|&i| (self.ids[i as usize], bfs.dist[i as usize]))
                 .collect()
         });
-        v.sort_by_key(|&(n, d)| (d, n));
+        v.sort_unstable_by_key(|&(n, d)| (d, n));
         v
     }
 

@@ -351,10 +351,11 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// configured quantum (and until membership/mobility changes).
     ///
     /// The snapshot is built with the strip-sweep engine and carries
-    /// its own memoized per-source BFS distance vectors and component
-    /// partition (see [`topology`](crate::topology)), so repeated
-    /// `hops`/`within`/`distances_from`/`component_of` queries within
-    /// one quantum traverse the graph once. Those memo caches share
+    /// one resumable BFS per source plus the component partition (see
+    /// [`topology`](crate::topology)): `hops`/`within` expand a source
+    /// only as far as their answer needs, later queries from the same
+    /// source resume where the last one stopped, and no source is
+    /// expanded more than once per quantum. Those memo caches share
     /// this cache's `(quantum bucket, topo_version)` key by
     /// construction: any membership or mobility change bumps
     /// `topo_version`, which drops the snapshot and its caches with it.
@@ -534,29 +535,24 @@ impl<M: Clone + fmt::Debug> World<M> {
         if !self.is_alive(from) {
             return Err(SendError::SenderDead);
         }
-        let dists = self.topology().distances_from(from);
-        self.metrics.add_send(category, dists.len() as u64);
+        // The whole component, sorted by (depth, id): event sequence
+        // numbers break same-instant ties, so insertion order must be
+        // stable.
+        let reach = self.topology().within(from, u32::MAX);
+        let charge = reach.len() as u64 + 1;
+        self.metrics.add_send(category, charge);
         self.trace.record(
             self.now,
             TraceEvent::Broadcast {
                 from,
                 k: None,
                 category,
-                recipients: dists.len().saturating_sub(1),
-                charge: dists.len() as u64,
+                recipients: reach.len(),
+                charge,
             },
         );
-        // Deterministic scheduling order: sort by (depth, id) — the
-        // BFS result is an unordered map, and event sequence numbers
-        // break same-instant ties, so insertion order must be stable.
-        let mut ordered: Vec<(NodeId, u32)> = dists.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(n, d)| (d, n));
-        let mut recipients = Vec::with_capacity(ordered.len().saturating_sub(1));
-        for (to, d) in ordered {
-            if to == from {
-                continue;
-            }
-            recipients.push(to);
+        let mut recipients: Vec<NodeId> = reach.iter().map(|&(n, _)| n).collect();
+        for (to, d) in reach {
             self.schedule_delivery(from, to, d, category, msg.clone());
         }
         recipients.sort_unstable();
@@ -928,22 +924,24 @@ impl<M: Clone + fmt::Debug> World<M> {
         if from == to || dist_hops == 0 {
             return vec![from];
         }
-        let dists = self.topology().distances_from(from);
-        let mut path = vec![to];
-        let mut cur = to;
-        let mut d = dist_hops;
-        while d > 1 {
-            let prev = self
-                .topology()
-                .neighbors(cur)
-                .into_iter()
-                .filter(|n| dists.get(n) == Some(&(d - 1)))
-                .min()
-                .expect("BFS predecessor exists on a shortest path");
-            path.push(prev);
-            cur = prev;
-            d -= 1;
-        }
+        let topo = self.topology();
+        let src = topo.index_of(from).expect("sender in snapshot");
+        let dst = topo.index_of(to).expect("recipient in snapshot");
+        let mut path = topo.with_distances_at(src, |dist| {
+            let mut path = vec![to];
+            let mut cur = dst;
+            for d in (1..dist_hops).rev() {
+                cur = topo
+                    .neighbor_indices_at(cur)
+                    .iter()
+                    .map(|&j| j as usize)
+                    .filter(|&j| dist[j] == d)
+                    .min_by_key(|&j| topo.node_at(j))
+                    .expect("BFS predecessor exists on a shortest path");
+                path.push(topo.node_at(cur));
+            }
+            path
+        });
         path.push(from);
         path.reverse();
         path

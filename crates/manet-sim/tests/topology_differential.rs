@@ -1,6 +1,6 @@
 //! Differential tests: the spatial-grid topology engine against the
-//! naive O(n²) oracle, and the memoized BFS queries against fresh
-//! traversals.
+//! naive O(n²) oracle, and the memoized, resumable BFS queries against
+//! fresh traversals in any query order.
 //!
 //! This is how NS-style simulators validate optimized connectivity
 //! structures: the optimized engine must be *indistinguishable* from
@@ -15,6 +15,8 @@ use manet_sim::{
     Arena, Net, NodeId, Point, Protocol, Sim, SimDuration, SimRng, World, WorldConfig,
 };
 use proptest::prelude::*;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 fn random_layout(seed: u64, n: usize, area: f64) -> Vec<(NodeId, Point)> {
     let arena = Arena::new(area, area);
@@ -82,6 +84,201 @@ proptest! {
         }
         prop_assert_eq!(grid.components(), Topology::build_naive(&nodes, range).components());
         prop_assert_eq!(grid.components(), grid.components());
+    }
+}
+
+/// `clusters` random layouts of `n` nodes in total, each cluster in its
+/// own `area`-sized square with a gap of `2 · area` between squares, so
+/// a range under `2 · area` splits the graph into at least `clusters`
+/// components.
+/// Ids are scrambled (`i · 7919 mod 10007`) so `(distance, id)` order
+/// differs from dense-index order.
+fn clustered_layout(seed: u64, n: usize, clusters: usize, area: f64) -> Vec<(NodeId, Point)> {
+    let arena = Arena::new(area, area);
+    let mut rng = SimRng::seed_from(seed);
+    (0..n)
+        .map(|i| {
+            let p = rng.point_in(&arena);
+            let dx = (i % clusters) as f64 * 3.0 * area;
+            let id = NodeId::new((i as u64 * 7919) % 10007);
+            (id, Point::new(p.x + dx, p.y))
+        })
+        .collect()
+}
+
+/// A textbook BFS over `topo`'s public adjacency, with no memo: the
+/// reference every memoized answer is compared against.
+fn fresh_bfs(topo: &Topology, src: NodeId) -> HashMap<NodeId, u32> {
+    let mut dist = HashMap::new();
+    if !topo.contains(src) {
+        return dist;
+    }
+    let mut queue = VecDeque::from([src]);
+    dist.insert(src, 0);
+    while let Some(u) = queue.pop_front() {
+        let du = dist[&u];
+        for v in topo.neighbors(u) {
+            if let Entry::Vacant(e) = dist.entry(v) {
+                e.insert(du + 1);
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// One query against a snapshot, with node operands as indices into the
+/// layout (an index past its end names a node the snapshot lacks).
+#[derive(Debug, Clone, Copy)]
+enum Query {
+    Hops(usize, usize),
+    Within(usize, u32),
+    DistancesFrom(usize),
+    ComponentOf(usize),
+    Connected(usize, usize),
+}
+
+impl Query {
+    /// Folds the node operands into `0..=n`, so that on an `n`-node
+    /// layout one value in `n + 1` names the missing node.
+    fn fold(self, n: usize) -> Query {
+        let f = |i: usize| i % (n + 1);
+        match self {
+            Query::Hops(a, b) => Query::Hops(f(a), f(b)),
+            Query::Within(a, k) => Query::Within(f(a), k),
+            Query::DistancesFrom(a) => Query::DistancesFrom(f(a)),
+            Query::ComponentOf(a) => Query::ComponentOf(f(a)),
+            Query::Connected(a, b) => Query::Connected(f(a), f(b)),
+        }
+    }
+}
+
+fn query_strategy() -> impl Strategy<Value = Query> {
+    let node = 0usize..100;
+    prop_oneof![
+        (node.clone(), node.clone()).prop_map(|(a, b)| Query::Hops(a, b)),
+        (node.clone(), 0u32..5).prop_map(|(a, k)| Query::Within(a, k)),
+        node.clone().prop_map(Query::DistancesFrom),
+        node.clone().prop_map(Query::ComponentOf),
+        (node.clone(), node).prop_map(|(a, b)| Query::Connected(a, b)),
+    ]
+}
+
+/// Runs `q` on the memoized snapshot `topo` and checks the answer
+/// against a fresh BFS on a fresh naive build of `nodes`.
+fn check_query(topo: &Topology, nodes: &[(NodeId, Point)], range: f64, q: Query) {
+    let ghost = NodeId::new(1 << 40);
+    let id = |i: usize| nodes.get(i).map_or(ghost, |(id, _)| *id);
+    let oracle = Topology::build_naive(nodes, range);
+    match q {
+        Query::Hops(a, b) => {
+            let want = fresh_bfs(&oracle, id(a)).get(&id(b)).copied();
+            assert_eq!(topo.hops(id(a), id(b)), want, "{q:?}");
+        }
+        Query::Within(a, k) => {
+            let mut want: Vec<(NodeId, u32)> = fresh_bfs(&oracle, id(a))
+                .into_iter()
+                .filter(|&(n, d)| n != id(a) && d <= k)
+                .collect();
+            want.sort_by_key(|&(n, d)| (d, n));
+            assert_eq!(topo.within(id(a), k), want, "{q:?}");
+        }
+        Query::DistancesFrom(a) => {
+            assert_eq!(
+                topo.distances_from(id(a)),
+                fresh_bfs(&oracle, id(a)),
+                "{q:?}"
+            );
+        }
+        Query::ComponentOf(a) => {
+            let mut want: Vec<NodeId> = fresh_bfs(&oracle, id(a)).into_keys().collect();
+            want.sort_unstable();
+            assert_eq!(topo.component_of(id(a)), want, "{q:?}");
+        }
+        Query::Connected(a, b) => {
+            let want = fresh_bfs(&oracle, id(a)).contains_key(&id(b));
+            assert_eq!(topo.connected(id(a), id(b)), want, "{q:?}");
+        }
+    }
+}
+
+proptest! {
+    /// Query order cannot change answers: a random interleaving of
+    /// queries on one snapshot, whose per-source BFS stops and resumes
+    /// between them, answers each exactly like a fresh uncached BFS —
+    /// on connected and split layouts, sparse to dense.
+    #[test]
+    fn interleaved_queries_equal_fresh_bfs(
+        n in 1usize..90,
+        clusters in 1usize..5,
+        range in 30.0f64..900.0,
+        seed in 0u64..1_000_000,
+        queries in prop::collection::vec(query_strategy(), 1..60),
+    ) {
+        let nodes = clustered_layout(seed, n, clusters, 500.0);
+        let topo = Topology::build(&nodes, range);
+        for q in queries {
+            check_query(&topo, &nodes, range, q.fold(n));
+        }
+    }
+}
+
+/// The query sequences where a resumed BFS could go wrong, each on a
+/// fresh snapshot of a 12-node line at two ranges and of two split
+/// clustered layouts.
+#[test]
+fn resumption_edge_cases() {
+    use Query::*;
+    let line: Vec<(NodeId, Point)> = (0..12u32)
+        .map(|i| (NodeId::new(u64::from(i)), Point::new(f64::from(i), 0.0)))
+        .collect();
+    let sequences: [&[Query]; 8] = [
+        // A one-hop neighborhood, then a target far past it.
+        &[Within(0, 1), Hops(0, 11), Within(0, 4)],
+        // A near target stops mid-level; a wider neighborhood resumes.
+        &[Hops(5, 6), Within(5, 3), Hops(5, 4), Within(5, 1)],
+        // A complete BFS, then neighborhoods read from it.
+        &[DistancesFrom(3), Within(3, 2), Within(3, 0), Hops(3, 11)],
+        // k = 0 expands nothing and returns nothing.
+        &[Within(7, 0), Within(7, 0), Hops(7, 7), Within(7, 2)],
+        // Unknown nodes on either side, before and after real queries.
+        &[
+            Hops(99, 0),
+            Within(99, 3),
+            Hops(0, 99),
+            Within(0, 2),
+            DistancesFrom(99),
+        ],
+        &[
+            ComponentOf(99),
+            Connected(99, 99),
+            Connected(0, 99),
+            Hops(99, 99),
+        ],
+        // Targets in another component (on the split layouts) exhaust
+        // the BFS; later queries reuse it.
+        &[Hops(2, 11), Connected(2, 9), Within(2, 4), DistancesFrom(2)],
+        &[
+            Connected(4, 4),
+            Within(4, 4),
+            Hops(4, 0),
+            Hops(4, 10),
+            ComponentOf(4),
+        ],
+    ];
+    let layouts = [
+        (line.clone(), 1.0),
+        (line, 2.5),
+        (clustered_layout(7, 12, 3, 500.0), 260.0),
+        (clustered_layout(11, 12, 2, 500.0), 600.0),
+    ];
+    for (nodes, range) in &layouts {
+        for seq in sequences {
+            let topo = Topology::build(nodes, *range);
+            for &q in seq {
+                check_query(&topo, nodes, *range, q);
+            }
+        }
     }
 }
 
