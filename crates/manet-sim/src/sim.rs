@@ -176,7 +176,9 @@ impl<P: Protocol> Sim<P> {
 
     fn dispatch(&mut self, kind: EventKind<P::Msg>) {
         match kind {
-            EventKind::Deliver { to, from, msg } => {
+            EventKind::Deliver { from, msg, to } => {
+                // `pop_due` hands a run out one recipient at a time.
+                let to = to.single();
                 if self.world.is_alive(to) {
                     self.world.metrics_mut().perf_mut().deliveries += 1;
                     self.feed(to, Input::Message { from, msg });

@@ -1,4 +1,4 @@
-use crate::event::{EventKind, Scheduled};
+use crate::event::{EventKind, EventQueue, RunBuilder, Scheduled};
 use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
 use crate::observer::{FlowKind, FlowStage, Observer};
@@ -10,7 +10,7 @@ use crate::{
     SimRng, SimTime, Transcript,
 };
 use proto_io::Input;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Static parameters of a simulation run.
@@ -135,8 +135,7 @@ pub trait WireShadow<M>: fmt::Debug + Send {
 pub struct World<M> {
     config: WorldConfig,
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
+    queue: EventQueue<M>,
     nodes: NodeTable,
     rng: SimRng,
     metrics: Metrics,
@@ -161,8 +160,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         let mut world = World {
             config,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             nodes: NodeTable::default(),
             rng,
             metrics: Metrics::new(),
@@ -445,7 +443,7 @@ impl<M: Clone + fmt::Debug> World<M> {
 
     /// Sends `msg` from `from` to `to` along the current shortest path.
     /// Charges the hop count to `category` and returns it. Delivery is
-    /// scheduled `hops × hop_delay` in the future.
+    /// scheduled `hops × hop_delay` in the future, as a run of one.
     ///
     /// # Errors
     ///
@@ -476,14 +474,15 @@ impl<M: Clone + fmt::Debug> World<M> {
                 hops,
             },
         );
-        self.schedule_delivery(from, to, hops, category, msg);
+        self.schedule_deliveries(from, &[(to, hops)], category, msg);
         Ok(hops)
     }
 
     /// Bounded flood: delivers `msg` to every alive node within `k` hops
     /// of `from`. Charges one transmission for the originator plus one per
     /// relaying node (nodes closer than `k` hops), and returns the
-    /// recipients.
+    /// recipients. Without a fault plan or a wire shadow, each BFS ring
+    /// is queued as one run sharing `msg` (see [`World::pending_events`]).
     ///
     /// # Errors
     ///
@@ -512,16 +511,14 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge: relays,
             },
         );
-        let recipients: Vec<NodeId> = reach.iter().map(|&(n, _)| n).collect();
-        for (to, d) in reach {
-            self.schedule_delivery(from, to, d, category, msg.clone());
-        }
-        Ok(recipients)
+        self.schedule_deliveries(from, &reach, category, msg);
+        Ok(reach.into_iter().map(|(n, _)| n).collect())
     }
 
     /// Global flood: delivers `msg` to every node in `from`'s connected
     /// component (classic flooding — every node retransmits once, so the
-    /// charge is the component size). Returns the recipients.
+    /// charge is the component size). Returns the recipients. As in
+    /// [`World::broadcast_within`], a BFS ring shares one queue entry.
     ///
     /// # Errors
     ///
@@ -551,10 +548,8 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge,
             },
         );
-        let mut recipients: Vec<NodeId> = reach.iter().map(|&(n, _)| n).collect();
-        for (to, d) in reach {
-            self.schedule_delivery(from, to, d, category, msg.clone());
-        }
+        self.schedule_deliveries(from, &reach, category, msg);
+        let mut recipients: Vec<NodeId> = reach.into_iter().map(|(n, _)| n).collect();
         recipients.sort_unstable();
         Ok(recipients)
     }
@@ -566,31 +561,62 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// The single delivery choke point: every unicast, bounded-flood,
-    /// and global-flood recipient passes through here. Applies the
-    /// legacy `loss_rate` first (on the main RNG, exactly as before the
-    /// fault plane existed) and then the fault plan (on its own RNG),
-    /// recording injected outcomes in metrics and trace. With no fault
-    /// plan this reduces to the original loss-then-push path.
-    fn schedule_delivery(
+    /// and global-flood recipient passes through here. `reach` lists
+    /// the recipients with their hop distances, sorted by distance.
+    ///
+    /// Each recipient is judged on its own and in order, exactly as if
+    /// it were sent alone: the wire shadow carries it, the legacy
+    /// `loss_rate` is drawn (on the main RNG, exactly as before the
+    /// fault plane existed), then the fault plan (on its own RNG), with
+    /// injected outcomes recorded in metrics and trace. Survivors are
+    /// queued through a [`RunBuilder`]: consecutive deliveries of `msg`
+    /// to one instant share one queue entry and one payload, while a
+    /// fault-delayed copy or a shadow-decoded copy closes the run.
+    /// Without a fault plan or a shadow, each BFS ring is one run (every
+    /// ring shares one when `hop_delay` is zero).
+    fn schedule_deliveries(
         &mut self,
         from: NodeId,
-        to: NodeId,
-        dist_hops: u32,
+        reach: &[(NodeId, u32)],
         category: MsgCategory,
         msg: M,
     ) {
-        // The shadow transmits unconditionally — a datagram that the
-        // logical layer then loses was still physically sent, exactly
-        // like a real radio. Loss/fault draws below are untouched.
-        let msg = self.shadow_carry(from, to, dist_hops, category, msg);
-        if self.lost() {
-            return; // charged but never delivered
+        let mut runs = RunBuilder::new(from, msg);
+        for &(to, dist_hops) in reach {
+            // The shadow transmits unconditionally — a datagram that the
+            // logical layer then loses was still physically sent, exactly
+            // like a real radio. Loss/fault draws below are untouched.
+            let carried = self.shadow_carry(from, to, dist_hops, category, runs.payload());
+            if self.lost() {
+                continue; // charged but never delivered
+            }
+            let base_at = self.now + self.config.hop_delay * u64::from(dist_hops);
+            let Some((extra, copies)) = self.fault_fate(from, to, category) else {
+                continue;
+            };
+            let at = base_at + extra;
+            match carried {
+                Some(copy) => runs.push_own(&mut self.queue, at, to, copies, copy),
+                None => runs.push(&mut self.queue, at, to, copies),
+            }
         }
-        let base_at = self.now + self.config.hop_delay * u64::from(dist_hops);
-        if self.faults.is_none() {
-            self.push_at(base_at, EventKind::Deliver { to, from, msg });
-            return;
-        }
+        runs.finish(&mut self.queue);
+        self.note_queue_depth();
+    }
+
+    /// Judges one delivery against the fault plan, recording injected
+    /// outcomes in metrics and trace. Returns `None` if it is dropped,
+    /// else its extra delay and how many copies arrive (1 plus
+    /// duplicates). Without a fault plan every delivery passes as is.
+    fn fault_fate(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        category: MsgCategory,
+    ) -> Option<(SimDuration, u32)> {
+        let Some(faults) = self.faults.as_mut() else {
+            return Some((SimDuration::ZERO, 1));
+        };
         let now = self.now;
         let pos = |nodes: &NodeTable, node: NodeId| {
             nodes
@@ -600,12 +626,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         };
         let from_pos = pos(&self.nodes, from);
         let to_pos = pos(&self.nodes, to);
-        let fate = self
-            .faults
-            .as_mut()
-            .expect("fault state checked above")
-            .judge(now, category, from_pos, to_pos);
-        match fate {
+        match faults.judge(now, category, from_pos, to_pos) {
             DeliveryFate::Drop(cause) => {
                 self.metrics.faults_mut().dropped += 1;
                 self.trace.record(
@@ -617,6 +638,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                         cause,
                     },
                 );
+                None
             }
             DeliveryFate::Pass {
                 extra,
@@ -645,17 +667,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                         },
                     );
                 }
-                let at = base_at + extra;
-                for _ in 0..=duplicates {
-                    self.push_at(
-                        at,
-                        EventKind::Deliver {
-                            to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
+                Some((extra, 1 + duplicates))
             }
         }
     }
@@ -865,24 +877,27 @@ impl<M: Clone + fmt::Debug> World<M> {
     // ------------------------------------------------------------------
 
     pub(crate) fn push_at(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, kind });
+        self.queue.push(at, kind);
+        self.note_queue_depth();
+    }
+
+    /// Raises the queue high-water mark to the current depth. Depth
+    /// counts each delivery run once per recipient, so the mark is the
+    /// one a queue with an entry per recipient would reach.
+    fn note_queue_depth(&mut self) {
         let depth = self.queue.len() as u64;
         let perf = self.metrics.perf_mut();
         perf.queue_high_water = perf.queue_high_water.max(depth);
     }
 
+    /// Pops the earliest event due by `until`; a delivery run comes out
+    /// one recipient per call, each counted as one event.
     pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Scheduled<M>> {
-        if self.queue.peek().is_some_and(|e| e.at <= until) {
-            let ev = self.queue.pop().expect("peeked");
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
-            self.metrics.perf_mut().events += 1;
-            Some(ev)
-        } else {
-            None
-        }
+        let ev = self.queue.pop_due(until)?;
+        debug_assert!(ev.at >= self.now, "time went backwards");
+        self.now = ev.at;
+        self.metrics.perf_mut().events += 1;
+        Some(ev)
     }
 
     pub(crate) fn advance_to(&mut self, t: SimTime) {
@@ -895,7 +910,12 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.cancelled_timers.remove(&id)
     }
 
-    /// Number of events still queued (including cancelled timers).
+    /// Number of events still queued (including cancelled timers),
+    /// counting one per recipient: a broadcast ring shares one queue
+    /// entry and one payload until it is dispatched, but each of its
+    /// recipients not yet dispatched counts here, as it does in
+    /// [`PerfCounters`](crate::PerfCounters)' `events`, `deliveries`
+    /// and `queue_high_water`.
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -948,24 +968,21 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// Runs the shadow transport for one `(from, to)` delivery and
-    /// returns the message copy the recipient decoded (or the original
-    /// when no shadow is installed).
+    /// returns the message copy the recipient decoded (`None` when no
+    /// shadow is installed).
     fn shadow_carry(
         &mut self,
         from: NodeId,
         to: NodeId,
         dist_hops: u32,
         category: MsgCategory,
-        msg: M,
-    ) -> M {
-        if self.shadow.is_none() {
-            return msg;
-        }
+        msg: &M,
+    ) -> Option<M> {
+        let mut shadow = self.shadow.take()?;
         let path = self.shadow_route(from, to, dist_hops);
-        let mut shadow = self.shadow.take().expect("checked above");
-        let carried = shadow.carry(&path, category, &msg);
+        let carried = shadow.carry(&path, category, msg);
         self.shadow = Some(shadow);
-        carried
+        Some(carried)
     }
 
     /// Enables transcript recording: every input the driver feeds and
@@ -1107,5 +1124,122 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
 
     fn transcript_mut(&mut self) -> Option<&mut Transcript> {
         self.transcript.as_mut()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Net, Protocol, Sim};
+
+    /// Neighbours `0..m` sit on a 10 m line; node `m` joins last, next
+    /// to all of them, and sends one k=1 broadcast of `7` on joining.
+    /// Every delivery is logged; `evict` names a recipient whose
+    /// delivery makes it remove the node `evict + 2`.
+    struct Beacon {
+        m: u64,
+        evict: Option<u64>,
+        got: Vec<(u64, u32)>,
+    }
+
+    impl Protocol for Beacon {
+        type Msg = u32;
+
+        fn on_join(&mut self, w: &mut Net<'_, u32>, node: NodeId) {
+            if node.index() == self.m {
+                let to = w.broadcast_within(node, 1, MsgCategory::Hello, 7).unwrap();
+                assert_eq!(to.len() as u64, self.m);
+            }
+        }
+
+        fn on_message(&mut self, w: &mut Net<'_, u32>, to: NodeId, _from: NodeId, msg: u32) {
+            self.got.push((to.index(), msg));
+            if self.evict == Some(to.index()) {
+                w.remove_node(NodeId::new(to.index() + 2));
+            }
+        }
+    }
+
+    fn beacon(m: u64, evict: Option<u64>, shadow: Option<Tamper>) -> Sim<Beacon> {
+        let config = WorldConfig {
+            speed: 0.0,
+            ..WorldConfig::default()
+        };
+        let mut sim = Sim::new(
+            config,
+            Beacon {
+                m,
+                evict,
+                got: Vec::new(),
+            },
+        );
+        if let Some(shadow) = shadow {
+            sim.world_mut().set_wire_shadow(Box::new(shadow));
+        }
+        for i in 0..=m {
+            sim.spawn_at(Point::new(10.0 * i as f64, 0.0));
+        }
+        sim
+    }
+
+    #[test]
+    fn a_broadcast_is_one_entry_dispatched_one_recipient_per_step() {
+        let m = 5;
+        let mut sim = beacon(m, None, None);
+        assert_eq!(sim.world().queue.entries(), 1, "one run for the whole ring");
+        assert_eq!(sim.world().pending_events(), 5);
+        assert_eq!(sim.world().metrics().perf().queue_high_water, 5);
+        let until = SimTime::from_micros(1_000_000);
+        for step in 1..=m {
+            assert!(sim.step_until(until));
+            let perf = sim.world().metrics().perf();
+            assert_eq!((perf.events, perf.deliveries), (step, step));
+            assert_eq!(sim.world().pending_events() as u64, m - step);
+            assert_eq!(sim.protocol().got.len() as u64, step);
+        }
+        assert!(!sim.step_until(until));
+        assert_eq!(sim.world().metrics().perf().queue_high_water, 5);
+        let got: Vec<(u64, u32)> = (0..m).map(|n| (n, 7)).collect();
+        assert_eq!(sim.protocol().got, got);
+    }
+
+    #[test]
+    fn a_recipient_removed_mid_run_is_skipped() {
+        // Node 0's handler removes node 2 before its turn in the run.
+        let mut sim = beacon(4, Some(0), None);
+        sim.run_until(SimTime::from_micros(1_000_000));
+        assert_eq!(sim.protocol().got, vec![(0, 7), (1, 7), (3, 7)]);
+        let perf = sim.world().metrics().perf();
+        assert_eq!((perf.events, perf.deliveries), (4, 3));
+        assert_eq!(sim.world().pending_events(), 0);
+    }
+
+    /// A wire shadow that adds 100 to what it carries to `victim` and
+    /// passes every other copy through.
+    #[derive(Debug)]
+    struct Tamper {
+        victim: NodeId,
+    }
+
+    impl WireShadow<u32> for Tamper {
+        fn carry(&mut self, path: &[NodeId], _category: MsgCategory, msg: &u32) -> u32 {
+            if path.last() == Some(&self.victim) {
+                msg + 100
+            } else {
+                *msg
+            }
+        }
+    }
+
+    #[test]
+    fn a_shadow_decoded_copy_reaches_only_its_recipient() {
+        let tamper = Tamper {
+            victim: NodeId::new(2),
+        };
+        let mut sim = beacon(4, None, Some(tamper));
+        assert_eq!(sim.world().pending_events(), 4);
+        sim.run_until(SimTime::from_micros(1_000_000));
+        assert_eq!(sim.protocol().got, vec![(0, 7), (1, 7), (2, 107), (3, 7)]);
+        assert_eq!(sim.world().metrics().perf().deliveries, 4);
     }
 }
